@@ -134,14 +134,23 @@ def add_fabric_flags(p, multiple: bool = False) -> None:
                    help="deterministic routing policy override")
 
 
+def search_width(text: str) -> int:
+    """argparse type of the SA width flags: an int >= 1 (SASettings
+    rejects anything smaller)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def add_population_flags(p) -> None:
     """``--population`` / ``--tempering`` on the search commands."""
-    p.add_argument("--population", type=int, default=1,
+    p.add_argument("--population", type=search_width, default=1,
                    help="SA walkers annealed in lockstep batches (1 = the "
                         "paper's serial walk; >1 evaluates the whole "
                         "population per step through the batched compiled "
                         "core)")
-    p.add_argument("--tempering", type=int, default=1,
+    p.add_argument("--tempering", type=search_width, default=1,
                    help="parallel-tempering rungs spread over the "
                         "population (requires --population > 1; rung 0 "
                         "anneals at the base schedule, higher rungs run "
@@ -851,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", default="g-arch")
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--proposal-batch", type=int, default=1,
+    p.add_argument("--proposal-batch", type=search_width, default=1,
                    help="SA proposals scored per iteration (best-of-K "
                         "delta evaluation; 1 = the paper's plain walk)")
     add_population_flags(p)
@@ -1073,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1,
                    help="independent SA restarts (best run wins)")
-    p.add_argument("--proposal-batch", type=int, default=1,
+    p.add_argument("--proposal-batch", type=search_width, default=1,
                    help="SA proposals scored per iteration")
     add_fabric_flags(p)
     p.add_argument("--profile", action="store_true",

@@ -1,18 +1,18 @@
 """Array-native evaluation core (compiled graph + mapping tables).
 
 ``compile_graph`` lowers a DNN once into flat numpy tables;
-:class:`CompiledEval` evaluates layer groups over them bit-identically
-to the object path, and :class:`GroupSession` adds delta evaluation for
-the SA loop.  See :mod:`repro.compiled.evalcore` for the contract.
+:class:`CompiledEval` builds per-layer traffic blocks over them and
+:mod:`repro.compiled.batch` folds and finalizes any number of mappings
+per numpy call — the one compiled route, bit-identical to the object
+reference path.  See :mod:`repro.compiled.evalcore` for the contract.
 """
 
-from repro.compiled.evalcore import CompiledEval, CompiledLayer, GroupSession
+from repro.compiled.evalcore import CompiledEval, CompiledLayer
 from repro.compiled.graph import CompiledGraph, compile_graph
 
 __all__ = [
     "CompiledEval",
     "CompiledGraph",
     "CompiledLayer",
-    "GroupSession",
     "compile_graph",
 ]

@@ -1,21 +1,23 @@
 """Population-batched evaluation: N candidate mappings per numpy call.
 
-The compiled core (:mod:`repro.compiled.evalcore`) lowered *one*
-mapping into SoA tables; this module lowers a *population*.  N
-candidate mappings of one layer group are stacked into a single
-``(blocks, N, lanes)`` buffer — volumes, the three DRAM aggregates and
-the weight-tree hop counter side by side in one lane axis — and the
+This is the compiled evaluator's one fold + finalize.  N candidate
+mappings of one layer group are stacked into a single ``(blocks, N,
+lanes)`` buffer — volumes, the three DRAM aggregates and the
+weight-tree hop counter side by side in one lane axis — and the
 canonical block fold plus the delay/energy finalize run as whole-array
-ops across every slot at once.
+ops across every slot at once.  Every compiled evaluation goes through
+here: a one-slot state prices the serial SA walk (and
+:meth:`CompiledEval.evaluate_group`), a K-column scratch buffer prices
+best-of-K proposals, and N walkers price a population step.
 
-Bit-identity with the per-mapping path is a hard invariant, so the
-batching only ever *widens* the serial arithmetic, never reassociates
-it:
+Bit-identity with the object reference path is a hard invariant, so
+the batching only ever *widens* the serial arithmetic, never
+reassociates it:
 
 * the group fold adds one block row at a time across all slots
   (``acc += buf[j]``), replaying the per-slot left fold from zero that
-  :class:`~repro.compiled.evalcore.GroupSession` already asserts equal
-  to ``np.add.reduce`` over the stacked blocks;
+  the object path's analyzer runs as ``np.add.reduce`` over the
+  stacked blocks;
 * missing DRAM parts fold ``+0.0`` instead of being skipped — exact
   for the non-negative aggregates carried here;
 * scatter kernels batch many ``np.bincount`` calls into one by giving
@@ -30,10 +32,10 @@ it:
   stay per-slot on contiguous row views, because numpy's pairwise
   summation is shape-dependent.
 
-``tests/test_compiled_batch.py`` pins all of this: batch size 1 and
-every slot of any N are float-exact against
-:meth:`CompiledEval.evaluate_group`, across the model registry and
-including annealed (mid-search) states.
+``tests/test_compiled_batch.py`` and ``tests/test_compiled_identity.py``
+pin all of this: every slot of any N, every best-of-K column and every
+one-slot delta step is float-exact against ``Evaluator(cache=False)``,
+across the model registry and including annealed (mid-search) states.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from repro.core.encoding import INTERLEAVED, LayerGroupMapping
 from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval
 from repro.evalmodel.traffic_analysis import LayerTrafficBlock, _dram_targets
-from repro.compiled.evalcore import CompiledEval, GroupSession, Proposal
+from repro.compiled.evalcore import CompiledEval
 from repro.compiled.graph import as_index_table, stacked_offsets
 
 
@@ -231,14 +233,18 @@ class _PendingSelf:
 
 
 class _DeferredBlocks:
-    """Builds many input blocks with batched scatter kernels.
+    """Builds traffic blocks with batched scatter kernels.
 
-    Staging mirrors :meth:`CompiledEval._build_input_block` slice for
-    slice — same cache keys, same geometry/mask arithmetic — but
-    queues every cache-missed bincount; :meth:`flush` runs the two
-    batched kernels, writes the materialized per-slice ops back into
-    ``slice_flows`` (so every walker of a population shares them), and
-    folds each pending block in canonical slice order.
+    An input block is the fold of its input slices' contributions, each
+    cached in ``slice_flows`` as the exact sequence of vector adds the
+    object path's analyzer performs (``_layer_inputs``); a self block
+    holds a layer's weight multicasts and ofmap writes (the analyzer's
+    ``_layer_weights`` + ``_layer_outputs``) and is cached in
+    ``self_blocks``.  Staging queues every cache-missed bincount;
+    :meth:`flush` runs the batched kernels, writes the materialized
+    per-slice ops and self blocks back into the caches (so every walker
+    of a population shares them), and folds each pending input block
+    in canonical slice order.
     """
 
     def __init__(self, ceval: CompiledEval):
@@ -302,8 +308,8 @@ class _DeferredBlocks:
         return pb
 
     def _stage_ingroup(self, cons, op_idx, prod, c_part, p_part, bu):
-        # Mirror of _ingroup_slice_ops up to (and excluding) the
-        # bincount, which joins the batched core queue.
+        # Producer-part -> consumer-part transfers of one in-group
+        # slice; the route bincount joins the batched core queue.
         rec = cons.rec
         geom = self.ceval.pair_geometry(
             rec, op_idx, prod.rec, c_part, p_part, bu
@@ -311,6 +317,7 @@ class _DeferredBlocks:
         if geom is None:
             return ("ops", ())
         di0, sj0, bytes0 = geom
+        # Same-core data stays inside the core's GLB.
         src, dst = prod.cores[sj0], cons.cores[di0]
         mask = src != dst
         if not mask.any():
@@ -323,15 +330,18 @@ class _DeferredBlocks:
     def stage_self_block(self, lid: int, scheme, bu: int, layer):
         """Self block of one scheme: cached, empty, or staged.
 
-        Mirrors :meth:`CompiledEval.self_block` (same key, same empty
-        fast path); on a cache miss the weight-slice and ofmap scatters
-        are queued and only the scalar DRAM tallies run inline —
-        returning a :class:`_PendingSelf` resolved at :meth:`flush`.
+        Weightless layers with implicitly managed ofmaps (MATMUL,
+        VECTOR, mid-group POOL/ELTWISE) share one all-zero block; other
+        blocks are keyed by what they depend on — the partition, the
+        core assignment and the weight/ofmap FD selectors.  On a cache
+        miss the weight-slice and ofmap scatters are queued and only the
+        scalar DRAM tallies run inline — returning a
+        :class:`_PendingSelf` resolved at :meth:`flush`.
         """
         ceval = self.ceval
         rec = layer.rec
         if rec.weight_slices is None and scheme.fd.ofmap < 0:
-            return ceval.self_block(lid, scheme, bu, layer)
+            return ceval.empty_block()
         key = (lid, scheme.part, scheme.core_group,
                scheme.fd.weight, scheme.fd.ofmap, bu)
         block = ceval.self_blocks.get_lru(key)
@@ -345,11 +355,14 @@ class _DeferredBlocks:
         return ps
 
     def _stage_self(self, scheme, layer) -> _PendingSelf:
-        # Mirror of _build_self_block: the per-slice tree scatters of
-        # the weight loop share one bincount segment (sequential
-        # accumulation == the serial vol[tree_links] += v folds from
-        # zero), the ofmap targets keep per-request segments because
-        # the serial path adds each target's *pre-summed* bincount.
+        # Stationary-operand bytes go out once per K-slice along a
+        # multicast tree — loaded once per inference (prologue) when
+        # the slice fits in half the GLB, refetched every round
+        # otherwise.  The per-slice tree scatters share one bincount
+        # segment (sequential accumulation == the analyzer's per-tree
+        # ``add_on_links`` folds from zero); the ofmap targets keep
+        # per-request segments because the analyzer adds each target's
+        # *pre-summed* bincount.
         ceval = self.ceval
         topo = ceval.ev.topo
         rec = layer.rec
@@ -400,7 +413,7 @@ class _DeferredBlocks:
                 ofmap_reqs.append(
                     self.flat_q.add(valid_idx, v, rep_lens)
                 )
-                # Sequential per-part tally, as in the serial scatter.
+                # Sequential per-part tally, as in dram_scatter_batch.
                 t = dram_write[d]
                 for x in v.tolist():
                     t += x
@@ -410,8 +423,10 @@ class _DeferredBlocks:
         )
 
     def _stage_dram(self, layer, op_idx: int, fd: int):
-        # Mirror of _dram_slice_ops; the per-target bincounts join the
-        # flat queue, the (cached) plan gather is unchanged.
+        # DRAM reads of one input slice, per FD target.  The route
+        # gather for the layer's cores is planned once per (selector,
+        # input) on the layer record; the per-target bincounts join the
+        # flat queue.
         ceval = self.ceval
         pre = ceval._dram_in(layer.rec, op_idx)
         if pre is None:
@@ -480,8 +495,8 @@ class _DeferredBlocks:
                 for arr, d, v_list in ops:
                     vol += arr
                     if d is not None:
-                        # Sequential scalar fold, as in the serial
-                        # block builder.
+                        # Sequential scalar fold, matching the
+                        # per-part tally loop of the analyzer.
                         t = dram_read[d]
                         for x in v_list:
                             t += x
@@ -497,7 +512,7 @@ class _DeferredBlocks:
 
 
 # ----------------------------------------------------------------------
-# Candidate staging (shared by population and best-of-K paths)
+# Candidate staging
 # ----------------------------------------------------------------------
 
 
@@ -515,8 +530,6 @@ class _Staged:
     #: ``(block row index, block-or-pending)`` overrides vs. the slot's
     #: current rows.
     rows: list = field(default_factory=list)
-    first_block: int = 0
-    first_layer: int = 0
     saved: list = field(default_factory=list)
 
 
@@ -524,9 +537,16 @@ def _stage_candidate(
     ceval, ctx, bu, cur_schemes, cur_recs, cur_self, cur_input,
     cur_places, slot, lms, stored_at, pend: _DeferredBlocks,
 ) -> _Staged:
-    """Staleness + rebuild of one candidate, mirroring
-    :meth:`GroupSession.propose` (scatters deferred to ``pend``)."""
-    n_layers = len(ctx.lids)
+    """Staleness + rebuild of one candidate (scatters deferred to
+    ``pend``).
+
+    A block is rebuilt iff its own scheme or one of its dependencies
+    changed: a self block when its layer's scheme did, an input block
+    when its layer, one of its in-group producers or one of its
+    cross-group placements did.  Schemes are compared by identity —
+    operators share unchanged schemes — so untouched layers cost a
+    pointer compare, not a hash.
+    """
     schemes = [lms.scheme(name) for name in lms.group.layers]
     recs = list(cur_recs)
     self_blocks = list(cur_self)
@@ -534,19 +554,14 @@ def _stage_candidate(
     new_places = cur_places
     rows: list[tuple] = []
     changed = set()
-    first_layer = n_layers
     for i, lid in enumerate(ctx.lids):
         if schemes[i] is not cur_schemes[i]:
             changed.add(i)
-            if i < first_layer:
-                first_layer = i
             recs[i] = ceval.layer_rec(lid, schemes[i], bu)
             sb = pend.stage_self_block(lid, schemes[i], bu, recs[i])
             self_blocks[i] = sb
             rows.append((2 * i + 1, sb))
-    first_block = 2 * first_layer + 1 if first_layer < n_layers \
-        else 2 * n_layers
-    for i in range(n_layers):
+    for i in range(len(ctx.lids)):
         stale = i in changed
         if not stale:
             for p in ctx.producer_pos[i]:
@@ -564,8 +579,6 @@ def _stage_candidate(
                     new_places = list(cur_places)
                 new_places[i] = places
         if stale:
-            if 2 * i < first_block:
-                first_block = 2 * i
             pb = pend.stage_input_block(
                 ctx, i, bu, schemes, recs,
                 ceval.deps_for(ctx, i, schemes, stored_at),
@@ -575,21 +588,25 @@ def _stage_candidate(
     return _Staged(
         slot=slot, lms=lms, schemes=schemes, recs=recs,
         self_blocks=self_blocks, input_blocks=input_blocks,
-        ext_places=new_places, rows=rows, first_block=first_block,
-        first_layer=first_layer,
+        ext_places=new_places, rows=rows,
     )
+
+
+def _built(blk) -> LayerTrafficBlock:
+    """A block, or the block a flushed placeholder materialized."""
+    if isinstance(blk, (_PendingInput, _PendingSelf)):
+        return blk.block
+    return blk
 
 
 def _resolve_staged(staged: list[_Staged]) -> None:
     """Swap pending placeholders for their materialized blocks."""
     for st in staged:
         for k, (j, blk) in enumerate(st.rows):
-            if isinstance(blk, _PendingInput):
-                st.rows[k] = (j, blk.block)
-                st.input_blocks[j // 2] = blk.block
-            elif isinstance(blk, _PendingSelf):
-                st.rows[k] = (j, blk.block)
-                st.self_blocks[j // 2] = blk.block
+            blk = _built(blk)
+            st.rows[k] = (j, blk)
+            blocks = st.input_blocks if j % 2 == 0 else st.self_blocks
+            blocks[j // 2] = blk
 
 
 # ----------------------------------------------------------------------
@@ -647,9 +664,15 @@ class _BatchCore:
         return acc
 
     def finalize(self, acc: np.ndarray, items) -> list[GroupEval]:
-        """Per-slot :meth:`CompiledEval._finalize`, vectorized where
-        exact.  ``items`` is ``(slot, recs)`` pairs; one GroupEval per
-        item, bit-equal to the serial reduction."""
+        """Delay/energy reduction of the folded slots.
+
+        ``items`` is ``(slot, recs)`` pairs; one GroupEval per item.
+        Per slot, the arithmetic inlines ``stage_times_from_compute`` +
+        ``group_delay`` + ``group_energy_from_intra`` operation for
+        operation (no reassociation), dropping only the intermediate
+        TrafficMap / GroupTraffic / StageTimes objects, and vectorizes
+        only the order-insensitive pieces across slots.
+        """
         ceval = self.ceval
         e = ceval.ev.energy
         pbw = ceval._per_dram_bw
@@ -716,10 +739,16 @@ class _BatchCore:
 
 @dataclass
 class BatchProposal:
-    """One population step's staged candidates, scored."""
+    """Staged candidates of one pricing pass, scored.
+
+    ``in_place`` says whether the candidates' rows were written over
+    their walkers' own buffer rows (:meth:`PopulationGroupState.propose`)
+    or into a scratch buffer (:meth:`PopulationGroupState.score`).
+    """
 
     staged: list[_Staged]
     evals: list[GroupEval]
+    in_place: bool = True
 
 
 class PopulationGroupState:
@@ -730,7 +759,9 @@ class PopulationGroupState:
     each other) plus the persistent ``(nb, N, lanes)`` row buffer the
     batched fold consumes.  :meth:`propose` delta-evaluates one
     candidate per walker in a single batched pass; accepted candidates
-    keep their rows, rejected ones are rolled back.
+    keep their rows, rejected ones are rolled back.  :meth:`score`
+    prices K candidates against one walker's rows (best-of-K).  A
+    one-slot state is the serial SA walk's delta evaluator.
     """
 
     def __init__(self, ceval: CompiledEval, lmss: list[LayerGroupMapping],
@@ -748,37 +779,40 @@ class PopulationGroupState:
         self.self_blocks: list[list] = []
         self.input_blocks: list[list] = []
         self.ext_places: list[list] = []
-        self.buf = np.zeros((core.nb, n, core.lanes))
-        for w, lms in enumerate(lmss):
-            stored_at = stored_ats[w]
+        pend = _DeferredBlocks(ceval)
+        for lms, stored_at in zip(lmss, stored_ats):
             schemes = [lms.scheme(name) for name in lms.group.layers]
             recs = [
                 ceval.layer_rec(lid, schemes[i], bu)
                 for i, lid in enumerate(ctx.lids)
             ]
-            self_blocks = [
-                ceval.self_block(lid, schemes[i], bu, recs[i])
+            self.self_blocks.append([
+                pend.stage_self_block(lid, schemes[i], bu, recs[i])
                 for i, lid in enumerate(ctx.lids)
-            ]
-            input_blocks = [
-                ceval.input_block(
+            ])
+            self.input_blocks.append([
+                pend.stage_input_block(
                     ctx, i, bu, schemes, recs,
                     ceval.deps_for(ctx, i, schemes, stored_at),
                 )
                 for i in range(core.n_layers)
-            ]
-            places = [
+            ])
+            self.ext_places.append([
                 tuple(stored_at.get(nm, INTERLEAVED) for nm in names)
                 for names in ctx.ext_names
-            ]
+            ])
             self.schemes.append(schemes)
             self.recs.append(recs)
-            self.self_blocks.append(self_blocks)
-            self.input_blocks.append(input_blocks)
-            self.ext_places.append(places)
+        pend.flush()
+        self.buf = np.zeros((core.nb, n, core.lanes))
+        for w in range(n):
+            inputs = [_built(b) for b in self.input_blocks[w]]
+            selfs = [_built(b) for b in self.self_blocks[w]]
+            self.input_blocks[w] = inputs
+            self.self_blocks[w] = selfs
             for i in range(core.n_layers):
-                core.write_row(self.buf[2 * i, w], input_blocks[i])
-                core.write_row(self.buf[2 * i + 1, w], self_blocks[i])
+                core.write_row(self.buf[2 * i, w], inputs[i])
+                core.write_row(self.buf[2 * i + 1, w], selfs[i])
         self.proposed = 0
         self.committed = 0
 
@@ -791,6 +825,24 @@ class PopulationGroupState:
             acc, [(w, self.recs[w]) for w in range(self.n_slots)]
         )
 
+    def _stage(self, cands) -> list[_Staged]:
+        """Stage ``(walker, lms, stored_at)`` candidates against their
+        walkers' current states; one batched flush builds the blocks."""
+        ceval, ctx, bu = self.ceval, self.core.ctx, self.core.bu
+        pend = _DeferredBlocks(ceval)
+        staged = [
+            _stage_candidate(
+                ceval, ctx, bu, self.schemes[w], self.recs[w],
+                self.self_blocks[w], self.input_blocks[w],
+                self.ext_places[w], w, lms, stored_at, pend,
+            )
+            for w, lms, stored_at in cands
+        ]
+        pend.flush()
+        _resolve_staged(staged)
+        self.proposed += len(staged)
+        return staged
+
     def propose(self, cands: list[tuple[int, LayerGroupMapping]],
                 stored_ats: list[dict]) -> BatchProposal:
         """Delta-evaluate one candidate per (distinct) walker.
@@ -799,20 +851,10 @@ class PopulationGroupState:
         most once, since candidate rows are written in place over the
         walker's own buffer rows.  Follow with :meth:`resolve`.
         """
-        core, ceval, ctx, bu = self.core, self.ceval, self.core.ctx, \
-            self.core.bu
-        pend = _DeferredBlocks(ceval)
-        staged = [
-            _stage_candidate(
-                ceval, ctx, bu, self.schemes[w], self.recs[w],
-                self.self_blocks[w], self.input_blocks[w],
-                self.ext_places[w], w, lms, stored_ats[w], pend,
-            )
-            for w, lms in cands
-        ]
-        pend.flush()
-        _resolve_staged(staged)
-        buf = self.buf
+        core, buf = self.core, self.buf
+        staged = self._stage(
+            [(w, lms, stored_ats[w]) for w, lms in cands]
+        )
         for st in staged:
             for j, blk in st.rows:
                 row = buf[j, st.slot]
@@ -820,11 +862,32 @@ class PopulationGroupState:
                 core.write_row(row, blk)
         acc = core.fold(buf)
         evals = core.finalize(acc, [(st.slot, st.recs) for st in staged])
-        self.proposed += len(staged)
         return BatchProposal(staged, evals)
 
+    def score(self, w: int, lmss: list[LayerGroupMapping],
+              stored_at: dict) -> BatchProposal:
+        """Delta-evaluate K candidates against walker ``w``'s state.
+
+        Each candidate folds in its own column of a scratch copy of the
+        walker's rows, so the walker stays untouched until
+        :meth:`resolve` adopts at most one of them.
+        """
+        core = self.core
+        staged = self._stage([(w, lms, stored_at) for lms in lmss])
+        sbuf = np.repeat(self.buf[:, w:w + 1], len(staged), axis=1)
+        for k, st in enumerate(staged):
+            for j, blk in st.rows:
+                core.write_row(sbuf[j, k], blk)
+        acc = core.fold(sbuf)
+        evals = core.finalize(
+            acc, [(k, st.recs) for k, st in enumerate(staged)]
+        )
+        return BatchProposal(staged, evals, in_place=False)
+
     def resolve(self, bp: BatchProposal, accepted: list[bool]) -> None:
-        """Adopt accepted candidates, roll rejected rows back."""
+        """Adopt accepted candidates and roll rejected in-place rows
+        back; a :meth:`score` pass may accept at most one candidate,
+        whose rows are then copied in."""
         buf = self.buf
         for st, ok in zip(bp.staged, accepted):
             w = st.slot
@@ -836,7 +899,10 @@ class PopulationGroupState:
                 self.self_blocks[w] = st.self_blocks
                 self.input_blocks[w] = st.input_blocks
                 self.ext_places[w] = st.ext_places
-            else:
+                if not bp.in_place:
+                    for j, blk in st.rows:
+                        self.core.write_row(buf[j, w], blk)
+            elif bp.in_place:
                 for j, old_row in st.saved:
                     buf[j, w] = old_row
 
@@ -850,67 +916,10 @@ def evaluate_population(
     """Stateless batched evaluation of N mappings of one group.
 
     ``stored_at`` is either one dict shared by every slot or a
-    per-slot sequence of dicts.  Element-wise bit-identical to calling
-    :meth:`CompiledEval.evaluate_group` per mapping — the identity
-    surface the batch tests pin.
+    per-slot sequence of dicts.  Element-wise bit-identical to the
+    object reference path — the identity surface the batch tests pin.
     """
     if stored_at is None or isinstance(stored_at, dict):
         stored_at = [stored_at or {}] * len(lmss)
     state = PopulationGroupState(ceval, lmss, batch, list(stored_at))
     return state.evaluate_current()
-
-
-# ----------------------------------------------------------------------
-# Best-of-K scoring against a GroupSession (population = 1 path)
-# ----------------------------------------------------------------------
-
-
-def score_session_batch(
-    session: GroupSession,
-    candidates: list[LayerGroupMapping],
-    stored_at: dict[str, int],
-) -> list[Proposal]:
-    """Score K candidates against one session state in one batch.
-
-    Replaces the serial ``proposal_batch`` scoring loop: staleness and
-    block rebuilds run per candidate (deferred scatters batched), then
-    one stacked fold + finalize prices all K.  Costs are bit-identical
-    to ``session.propose`` per candidate, so the SA trajectory — and
-    therefore campaign digests — are unchanged.
-    """
-    ceval, ctx, bu = session.ceval, session.ctx, session.bu
-    core = getattr(session, "_batch_core", None)
-    if core is None or core.batch != session.batch:
-        core = _BatchCore(ceval, session.group, session.batch)
-        session._batch_core = core
-    pend = _DeferredBlocks(ceval)
-    staged = [
-        _stage_candidate(
-            ceval, ctx, bu, session.schemes, session.recs,
-            session.self_blocks, session.input_blocks,
-            session.ext_places, s, lms, stored_at, pend,
-        )
-        for s, lms in enumerate(candidates)
-    ]
-    pend.flush()
-    _resolve_staged(staged)
-    base = np.zeros((core.nb, core.lanes))
-    for j in range(core.nb):
-        core.write_row(base[j], session._block(j))
-    sbuf = np.empty((core.nb, len(staged), core.lanes))
-    sbuf[:] = base[:, None, :]
-    for st in staged:
-        for j, blk in st.rows:
-            core.write_row(sbuf[j, st.slot], blk)
-    acc = core.fold(sbuf)
-    evals = core.finalize(acc, [(st.slot, st.recs) for st in staged])
-    session.proposed += len(staged)
-    return [
-        Proposal(
-            result=ev, schemes=st.schemes, recs=st.recs,
-            self_blocks=st.self_blocks, input_blocks=st.input_blocks,
-            ext_places=st.ext_places, first_block=st.first_block,
-            first_layer=st.first_layer,
-        )
-        for st, ev in zip(staged, evals)
-    ]

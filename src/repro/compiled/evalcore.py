@@ -15,43 +15,40 @@ tables.  Lowering is split by what actually determines each piece:
   keyed by the two partitions; only the same-core mask and the final
   scatter depend on core assignments.
 
-Traffic is accumulated with the same scatter-add kernels the object
-path uses (:func:`~repro.evalmodel.traffic_analysis.core_scatter_batch`
-/ :func:`~repro.evalmodel.traffic_analysis.dram_scatter_batch`) and the
-delay/energy reduction reuses the object path's stage-time and energy
-functions, so compiled results are **bit-identical** to the object path
-(asserted over the whole model zoo in
-``tests/test_compiled_identity.py``).  The core is fabric-agnostic: it
+Traffic is accumulated with the object path's scatter-add arithmetic
+(the bincounts of
+:func:`~repro.evalmodel.traffic_analysis.core_scatter_batch` /
+:func:`~repro.evalmodel.traffic_analysis.dram_scatter_batch`, batched
+across requests without reordering any sum) and the delay/energy
+reduction replays the object path's stage-time and energy
+arithmetic operation for operation, so compiled results are
+**bit-identical** to the object path (asserted over the whole model zoo
+in ``tests/test_compiled_identity.py``).  The core is fabric-agnostic: it
 consumes only the :class:`~repro.fabric.Topology` surface of
 ``evaluator.topo`` (padded route tables, link arrays, multicast
 trees), so every registered interconnect — mesh, folded torus,
 concentrated mesh, ring — runs through the same compiled hot path.
 
-On top of the stateless path, :class:`GroupSession` adds delta
-evaluation for the SA loop: a proposal recomputes only the per-layer
-blocks an operator move actually touched (the mutated layers' records
-and self blocks, plus the input blocks of those layers, their in-group
-consumers and any layer whose cross-group placement changed) and
-re-merges the cached remainder in the canonical order — the merge is
-the same reduction over the same block arrays, so delta and full
-evaluation agree bit for bit.
+This module holds the lowering and the caches; traffic blocks are
+built, folded and finalized by the batched core
+(:mod:`repro.compiled.batch`), the compiled path's single route:
+:meth:`CompiledEval.evaluate_group` is a one-slot pass through it, and
+the SA loop's delta evaluation keeps one-slot states resident there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.encoding import INTERLEAVED, LayerGroupMapping, MappingScheme
 from repro.errors import InvalidMappingError
-from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval
+from repro.evalmodel.breakdown import GroupEval
 from repro.evalmodel.delay import per_dram_bandwidth
 from repro.evalmodel.traffic_analysis import (
     LayerTrafficBlock,
     _conv_needs,
-    _dram_targets,
     _matmul_needs,
 )
 from repro.intracore.dataflow import CoreWorkload
@@ -145,30 +142,14 @@ class _GroupCtx:
         ]
 
 
-@dataclass
-class Proposal:
-    """A delta-evaluated candidate, ready to commit into its session."""
-
-    result: GroupEval
-    schemes: list[MappingScheme]
-    recs: list[CompiledLayer]
-    self_blocks: list[LayerTrafficBlock]
-    input_blocks: list[LayerTrafficBlock]
-    ext_places: list[tuple]
-    #: First block / layer index the move touched — the session's
-    #: prefix folds are valid up to (exclusive) these on commit.
-    first_block: int
-    first_layer: int
-
-
 class CompiledEval:
     """Array-native evaluation of one graph on one evaluator.
 
-    All caches are LRU-bounded and keyed by content (layer id,
-    partition or scheme, batch unit, dependency schemes/placements), so
-    the compiled path is a pure memoized function of its inputs —
-    exactly like the object path's cache layers, minus the object
-    traffic.
+    Owns the scheme lowering and every compiled cache; the blocks are
+    built, folded and finalized by :mod:`repro.compiled.batch`.  All
+    caches are LRU-bounded and keyed by content (layer id, partition or
+    scheme, batch unit, dependency schemes/placements), so the compiled
+    path is a pure memoized function of its inputs.
     """
 
     def __init__(self, evaluator, cgraph: CompiledGraph):
@@ -177,15 +158,13 @@ class CompiledEval:
         self.parts = LruDict(32768, name="compiled.parts")
         self.layers = LruDict(32768, name="compiled.layers")
         self.self_blocks = LruDict(32768, name="compiled.self")
-        self.input_blocks = LruDict(16384, name="compiled.inputs")
         self.pair_geom = LruDict(32768, name="compiled.pairs")
         self.slice_flows = LruDict(16384, name="compiled.slices")
         self._intra = LruDict(200_000)
         self._trees = LruDict(65536)
         self._group_ctx: dict[tuple[str, ...], _GroupCtx] = {}
         self._empty_block: LayerTrafficBlock | None = None
-        # Reduction constants hoisted out of the per-evaluation
-        # finalize step.
+        # Reduction constants the batched finalize reads.
         topo = evaluator.topo
         self._bandwidths = topo.link_arrays()[0]
         self._noc_idx, self._d2d_idx, _ = topo.link_index_arrays()
@@ -436,7 +415,7 @@ class CompiledEval:
         return got
 
     # ------------------------------------------------------------------
-    # Traffic blocks
+    # Block inputs (the blocks themselves are built in batch.py)
     # ------------------------------------------------------------------
 
     def deps_for(self, ctx: _GroupCtx, i: int, schemes, stored_at) -> tuple:
@@ -456,30 +435,6 @@ class CompiledEval:
             else:
                 out.append(None)
         return tuple(out)
-
-    def input_block(
-        self, ctx: _GroupCtx, i: int, batch_unit: int, schemes, recs,
-        deps: tuple,
-    ) -> LayerTrafficBlock:
-        # The block depends on the layer's partition, core assignment
-        # and ifmap selector — not its weight/ofmap FDs — and on each
-        # producer's partition + core assignment (or placement).
-        s = schemes[i]
-        narrowed = tuple(
-            (d.part, d.core_group) if isinstance(d, MappingScheme) else d
-            for d in deps
-        )
-        key = (
-            ctx.lids[i], s.part, s.core_group, s.fd.ifmap, batch_unit,
-            narrowed,
-        )
-        block = self.input_blocks.get_lru(key)
-        if block is None:
-            block = self._build_input_block(
-                ctx, i, batch_unit, schemes, recs, deps
-            )
-            self.input_blocks.put(key, block)
-        return block
 
     def _tree_links(self, dram, cores: tuple[int, ...]) -> tuple:
         """``(link index array, size)`` of the dram -> cores multicast
@@ -515,337 +470,21 @@ class CompiledEval:
             self._trees.put(key, got)
         return got
 
-    def _dram_scatter_planned(
-        self, layer: CompiledLayer, plan_key, fd: int, sel,
-        volumes, vol_slots, tally, write: bool,
-    ) -> None:
-        """Planned variant of :func:`dram_scatter_batch`.
-
-        The route-table gather for a fixed core subset is memoized on
-        the layer record (``sel`` — ``None`` for all parts, else a part
-        index array — is only consulted on a plan miss); the arithmetic
-        (bincount over the same index array with weights in the same
-        order, sequential tally fold) is identical to the shared
-        kernel, so results match bit for bit.
-        """
-        topo = self.ev.topo
-        plan = layer.dram_plans.get(plan_key)
-        if plan is None:
-            cores_sel = layer.cores if sel is None else layer.cores[sel]
-            n_dram = len(topo.dram_nodes())
-            to_d, to_l, from_d, from_l = topo.dram_route_tables()
-            table, lens = (to_d, to_l) if write else (from_d, from_l)
-            plan = []
-            for dram, share in _dram_targets(topo, fd):
-                d = dram[1]
-                rows = cores_sel * n_dram + d
-                padded = table[rows].ravel()
-                plan.append((d, share, padded[padded >= 0], lens[rows]))
-            layer.dram_plans[plan_key] = plan
-        n_slots = len(vol_slots)
-        for d, share, valid_idx, rep_lens in plan:
-            v = volumes * share
-            vol_slots += np.bincount(
-                valid_idx, weights=np.repeat(v, rep_lens),
-                minlength=n_slots,
-            )
-            t = tally[d]
-            for x in v.tolist():
-                t += x
-            tally[d] = t
-
     def _zeros(self):
         topo = self.ev.topo
         n_dram = len(topo.dram_nodes())
         return np.zeros(topo.n_links), np.zeros(n_dram)
 
-    def _ingroup_slice_ops(self, cons: CompiledLayer, op_idx: int,
-                           prod: CompiledLayer, c_part, p_part,
-                           batch_unit: int) -> tuple:
-        """Link adds of one in-group input slice, as replayable ops."""
-        rec = cons.rec
-        geom = self.pair_geometry(
-            rec, op_idx, prod.rec, c_part, p_part, batch_unit
-        )
-        if geom is None:
-            return ()
-        di0, sj0, bytes0 = geom
-        # Same-core data stays inside the core's GLB.
-        src, dst = prod.cores[sj0], cons.cores[di0]
-        mask = src != dst
-        if not mask.any():
-            return ()
-        di = di0[mask]
-        volumes = bytes0[mask] * rec.if_fetches[di]
-        # The bincount below is exactly what core_scatter_batch adds
-        # into its accumulator; caching the array and adding it later
-        # is the same 0 + bincount fold.
-        topo = self.ev.topo
-        table, lens = topo.core_route_table()
-        rows = src[mask] * topo.arch.n_cores + dst[mask]
-        padded = table[rows].ravel()
-        arr = np.bincount(
-            padded[padded >= 0],
-            weights=np.repeat(volumes, lens[rows]),
-            minlength=topo.n_links,
-        )
-        return ((arr, None, None),)
-
-    def _dram_slice_ops(self, layer: CompiledLayer, op_idx: int,
-                        fd: int) -> tuple:
-        """Link + DRAM-tally adds of one DRAM-read slice, per target."""
-        pre = self._dram_in(layer.rec, op_idx)
-        if pre is None:
-            return ()
-        idx, volumes = pre
-        topo = self.ev.topo
-        plan = layer.dram_plans.get((fd, False, op_idx))
-        if plan is None:
-            cores_sel = layer.cores[idx]
-            n_dram = len(topo.dram_nodes())
-            _, _, from_d, from_l = topo.dram_route_tables()
-            plan = []
-            for dram, share in _dram_targets(topo, fd):
-                d = dram[1]
-                rows = cores_sel * n_dram + d
-                padded = from_d[rows].ravel()
-                plan.append((d, share, padded[padded >= 0], from_l[rows]))
-            layer.dram_plans[(fd, False, op_idx)] = plan
-        n_links = topo.n_links
-        ops = []
-        for d, share, valid_idx, rep_lens in plan:
-            v = volumes * share
-            arr = np.bincount(
-                valid_idx, weights=np.repeat(v, rep_lens),
-                minlength=n_links,
+    def empty_block(self) -> LayerTrafficBlock:
+        """The all-zero block shared by every self block with no flows
+        (weightless layers whose ofmaps stay implicit)."""
+        empty = self._empty_block
+        if empty is None:
+            empty = LayerTrafficBlock(
+                np.zeros(self.ev.topo.n_links), None, None, None, 0.0, None,
             )
-            ops.append((arr, d, v.tolist()))
-        return tuple(ops)
-
-    def _build_input_block(
-        self, ctx, i, batch_unit, schemes, recs, deps
-    ) -> LayerTrafficBlock:
-        """Ifmap flows of one layer (mirrors the analyzer's
-        ``_layer_inputs`` fast path over compiled records).
-
-        Each input slice's contribution is cached as the exact
-        sequence of vector adds the analyzer would perform and
-        replayed in slice order, so a move that changes one producer
-        recomputes only that producer's slice — the replayed fold is
-        bit-identical to recomputing the whole block.
-        """
-        flows = self.slice_flows
-        layer = recs[i]
-        s = schemes[i]
-        vol, dram_read = self._zeros()
-        for desc, dep in zip(ctx.inputs[i], deps):
-            op_idx, plid, group_pos, _ = desc
-            if group_pos is not None:
-                p = schemes[group_pos]
-                key = (ctx.lids[i], op_idx, s.part, s.core_group,
-                       p.part, p.core_group, batch_unit)
-                ops = flows.get_lru(key)
-                if ops is None:
-                    ops = self._ingroup_slice_ops(
-                        layer, op_idx, recs[group_pos], s.part, p.part,
-                        batch_unit,
-                    )
-                    flows.put(key, ops)
-            else:
-                fd = s.fd.ifmap if plid < 0 else dep
-                key = (ctx.lids[i], op_idx, s.part, s.core_group, fd,
-                       batch_unit)
-                ops = flows.get_lru(key)
-                if ops is None:
-                    ops = self._dram_slice_ops(layer, op_idx, fd)
-                    flows.put(key, ops)
-            for arr, d, v_list in ops:
-                vol += arr
-                if d is not None:
-                    # Sequential scalar fold, matching the per-part
-                    # tally loop of the uncached path.
-                    t = dram_read[d]
-                    for x in v_list:
-                        t += x
-                    dram_read[d] = t
-        return LayerTrafficBlock(
-            volumes=vol,
-            dram_read=dram_read if dram_read.any() else None,
-            dram_write=None,
-            dram_weight_once=None,
-            weight_tree_hop_bytes=0.0,
-            flows=None,
-        )
-
-    def self_block(
-        self, lid: int, scheme: MappingScheme, batch_unit: int,
-        layer: CompiledLayer,
-    ) -> LayerTrafficBlock:
-        # Weightless layers with implicitly managed ofmaps (MATMUL,
-        # VECTOR, mid-group POOL/ELTWISE) contribute nothing here; one
-        # shared all-zero block serves them all.
-        if layer.rec.weight_slices is None and scheme.fd.ofmap < 0:
-            empty = self._empty_block
-            if empty is None:
-                empty = LayerTrafficBlock(
-                    np.zeros(self.ev.topo.n_links), None, None, None,
-                    0.0, None,
-                )
-                self._empty_block = empty
-            return empty
-        # Weight + ofmap flows depend on the partition, the core
-        # assignment and those two FD selectors only.
-        key = (
-            lid, scheme.part, scheme.core_group,
-            scheme.fd.weight, scheme.fd.ofmap, batch_unit,
-        )
-        block = self.self_blocks.get_lru(key)
-        if block is None:
-            block = self._build_self_block(scheme, layer)
-            self.self_blocks.put(key, block)
-        return block
-
-    def _build_self_block(self, scheme, layer) -> LayerTrafficBlock:
-        """Weight + ofmap flows — a function of the layer's own scheme
-        (mirrors ``_layer_weights`` + ``_layer_outputs``)."""
-        topo = self.ev.topo
-        rec = layer.rec
-        vol, dram_read = self._zeros()
-        dram_write = np.zeros_like(dram_read)
-        dram_once = np.zeros_like(dram_read)
-        hop_bytes = 0.0
-        if rec.weight_slices is not None:
-            fd = scheme.fd.weight
-            cores_list = layer.cores_list
-            glb_half = self.ev.arch.glb_bytes / 2
-            for volume, kk, pk in rec.weight_slices:
-                dsts = tuple(cores_list[kk::pk])
-                resident = volume <= glb_half
-                for dram, share in _dram_targets(topo, fd):
-                    tree_links, tree_size = self._tree_links(dram, dsts)
-                    v = volume * share
-                    if resident:
-                        # Loaded once per inference (prologue).
-                        dram_once[dram[1]] += v
-                        hop_bytes += v * tree_size
-                    else:
-                        vol[tree_links] += v
-                        dram_read[dram[1]] += v
-        fd = scheme.fd.ofmap
-        if fd >= 0:
-            self._dram_scatter_planned(
-                layer, (fd, True, None), fd, None,
-                rec.out_volumes, vol, dram_write, write=True,
-            )
-        return LayerTrafficBlock(
-            volumes=vol,
-            dram_read=dram_read if dram_read.any() else None,
-            dram_write=dram_write if dram_write.any() else None,
-            dram_weight_once=dram_once if dram_once.any() else None,
-            weight_tree_hop_bytes=hop_bytes,
-            flows=None,
-        )
-
-    # ------------------------------------------------------------------
-    # Assembly (the delay/energy reduction)
-    # ------------------------------------------------------------------
-
-    def _finalize(
-        self, group, batch, vol, dram_read, dram_write, dram_once,
-        hop_bytes, compute, intra_j, fits,
-    ) -> GroupEval:
-        """Delay/energy reduction over the folded group aggregates.
-
-        The inputs are left folds (from zero, canonical block order) of
-        the per-layer blocks — exactly what the object path's analyzer
-        accumulates.  The arithmetic below inlines
-        ``stage_times_from_compute`` + ``group_delay`` +
-        ``group_energy_from_intra`` operation for operation (no
-        reassociation), dropping only the intermediate TrafficMap /
-        GroupTraffic / StageTimes objects; the model-zoo identity tests
-        pin the equivalence.
-        """
-        ev = self.ev
-        e = ev.energy
-        # serialization_time: most-loaded-link drain time.
-        network = float(np.max(vol / self._bandwidths))
-        round_bytes = dram_read + dram_write
-        dram = (
-            float(np.max(round_bytes)) / self._per_dram_bw
-            if len(round_bytes) else 0.0
-        )
-        prologue = (
-            float(np.max(dram_once)) / self._per_dram_bw
-            if len(dram_once) else 0.0
-        )
-        stage = max(compute, network, dram)
-        rounds = math.ceil(batch / group.batch_unit)
-        depth = len(group)
-        delay = stage * (rounds + depth - 1) + prologue
-        # network_energy + dram_energy, per round.
-        noc_j = float(vol[self._noc_idx].sum()) * e.e_noc_hop
-        d2d_j = e.d2d_energy(
-            float(vol[self._d2d_idx].sum()), self._n_d2d, stage
-        )
-        dram_j = float(round_bytes.sum()) * e.e_dram
-        once_bytes = float(dram_once.sum())
-        energy = EnergyBreakdown(
-            intra=intra_j * rounds,
-            noc=noc_j * rounds + hop_bytes * e.e_noc_hop,
-            d2d=d2d_j * rounds,
-            dram=dram_j * rounds + once_bytes * e.e_dram,
-        )
-        return GroupEval(
-            delay=delay,
-            energy=energy,
-            stage_time=stage,
-            rounds=rounds,
-            compute_time=compute,
-            network_time=network,
-            dram_time=dram,
-            traffic=None,
-            dram_round_bytes=tuple(round_bytes),
-            fits=fits,
-        )
-
-    def _assemble(
-        self, group, recs, input_blocks, self_blocks, batch
-    ) -> GroupEval:
-        n_dram = len(self.ev.topo.dram_nodes())
-        dram_read = np.zeros(n_dram)
-        dram_write = np.zeros(n_dram)
-        dram_once = np.zeros(n_dram)
-        hop_bytes = 0.0
-        # Canonical block order: (inputs, self) per layer — the same
-        # stacked fold the object-path analyzer runs, so per-link sums
-        # associate identically.
-        blocks = []
-        compute = 0.0
-        intra_j = 0.0
-        fits = True
-        for i, layer in enumerate(recs):
-            blocks.append(input_blocks[i])
-            blocks.append(self_blocks[i])
-            rec = layer.rec
-            if rec.compute > compute:
-                compute = rec.compute
-            intra_j += rec.energy
-            fits = fits and rec.fits
-        vol = np.add.reduce(
-            np.stack([b.volumes for b in blocks]), axis=0
-        )
-        for block in blocks:
-            if block.dram_read is not None:
-                dram_read += block.dram_read
-            if block.dram_write is not None:
-                dram_write += block.dram_write
-            if block.dram_weight_once is not None:
-                dram_once += block.dram_weight_once
-            hop_bytes += block.weight_tree_hop_bytes
-        return self._finalize(
-            group, batch, vol, dram_read, dram_write, dram_once,
-            hop_bytes, compute, intra_j, fits,
-        )
+            self._empty_block = empty
+        return empty
 
     def evaluate_group(
         self,
@@ -853,220 +492,8 @@ class CompiledEval:
         batch: int,
         stored_at: dict[str, int] | None = None,
     ) -> GroupEval:
-        """Stateless full evaluation over the compiled tables."""
-        stored_at = stored_at or {}
-        group = lms.group
-        ctx = self.group_ctx(group)
-        bu = group.batch_unit
-        schemes = [lms.scheme(name) for name in group.layers]
-        recs = [
-            self.layer_rec(lid, schemes[i], bu)
-            for i, lid in enumerate(ctx.lids)
-        ]
-        self_blocks = [
-            self.self_block(lid, schemes[i], bu, recs[i])
-            for i, lid in enumerate(ctx.lids)
-        ]
-        input_blocks = [
-            self.input_block(
-                ctx, i, bu, schemes, recs,
-                self.deps_for(ctx, i, schemes, stored_at),
-            )
-            for i in range(len(ctx.lids))
-        ]
-        return self._assemble(group, recs, input_blocks, self_blocks, batch)
+        """Stateless evaluation: a one-slot pass through the batched
+        fold + finalize."""
+        from repro.compiled.batch import evaluate_population
 
-    def session(
-        self, lms: LayerGroupMapping, batch: int,
-        stored_at: dict[str, int],
-    ) -> "GroupSession":
-        return GroupSession(self, lms, batch, stored_at)
-
-
-class GroupSession:
-    """Delta evaluation of SA moves against one layer group's state.
-
-    The session pins the blocks of the current (accepted) state plus
-    *prefix folds* of the canonical merge (left folds over the block
-    order, which is exactly how ``np.add.reduce`` associates — asserted
-    by the identity tests); :meth:`propose` rebuilds only what a
-    candidate actually changes, restarts the fold from the last valid
-    prefix and finalizes, :meth:`commit` adopts an accepted proposal
-    and repairs the prefixes from the first touched block.  All five SA
-    operators are covered by the same invalidation rule: a block is
-    recomputed iff its own scheme or any of its dependencies (producer
-    schemes, cross-group placements) changed — checked by identity, so
-    unchanged layers cost a pointer compare, not a hash.
-    """
-
-    def __init__(self, ceval: CompiledEval, lms: LayerGroupMapping,
-                 batch: int, stored_at: dict[str, int]):
-        self.ceval = ceval
-        self.group = lms.group
-        self.batch = batch
-        self.ctx = ceval.group_ctx(lms.group)
-        self.bu = lms.group.batch_unit
-        self.schemes = [lms.scheme(name) for name in lms.group.layers]
-        ctx, bu = self.ctx, self.bu
-        self.recs = [
-            ceval.layer_rec(lid, self.schemes[i], bu)
-            for i, lid in enumerate(ctx.lids)
-        ]
-        self.self_blocks = [
-            ceval.self_block(lid, self.schemes[i], bu, self.recs[i])
-            for i, lid in enumerate(ctx.lids)
-        ]
-        self.ext_places = [
-            tuple(stored_at.get(nm, INTERLEAVED) for nm in names)
-            for names in ctx.ext_names
-        ]
-        # Sessions build input blocks directly (no block-cache keying):
-        # staleness is tracked by identity, and rebuilds replay the
-        # cached per-slice contributions anyway.
-        self.input_blocks = [
-            ceval._build_input_block(
-                ctx, i, bu, self.schemes, self.recs,
-                ceval.deps_for(ctx, i, self.schemes, stored_at))
-            for i in range(len(ctx.lids))
-        ]
-        n_layers = len(ctx.lids)
-        topo = ceval.ev.topo
-        n_dram = len(topo.dram_nodes())
-        nb = 2 * n_layers
-        # Prefix folds over the canonical block order (row j holds the
-        # fold of blocks[0:j]) and over the per-layer rec aggregates.
-        self._vol_pre = np.zeros((nb + 1, topo.n_links))
-        self._dr_pre = np.zeros((nb + 1, n_dram))
-        self._dw_pre = np.zeros((nb + 1, n_dram))
-        self._do_pre = np.zeros((nb + 1, n_dram))
-        self._hop_pre = [0.0] * (nb + 1)
-        self._cmp_pre = [0.0] * (n_layers + 1)
-        self._int_pre = [0.0] * (n_layers + 1)
-        self._fit_pre = [True] * (n_layers + 1)
-        # Local delta-evaluation tallies; the SA controller folds them
-        # into PERF once per run (the ``sa.delta_eval`` pattern), so
-        # the per-move cost stays two integer adds.
-        self.proposed = 0
-        self.committed = 0
-        self._refold(0, 0)
-
-    def _block(self, j: int) -> LayerTrafficBlock:
-        """Block ``j`` of the canonical order (inputs, self per layer)."""
-        blocks = self.input_blocks if j % 2 == 0 else self.self_blocks
-        return blocks[j // 2]
-
-    def _refold(self, first_block: int, first_layer: int) -> None:
-        """Repair the prefix folds from the first touched index on."""
-        nb = 2 * len(self.ctx.lids)
-        for j in range(first_block, nb):
-            b = self._block(j)
-            np.add(self._vol_pre[j], b.volumes, out=self._vol_pre[j + 1])
-            for pre, part in (
-                (self._dr_pre, b.dram_read),
-                (self._dw_pre, b.dram_write),
-                (self._do_pre, b.dram_weight_once),
-            ):
-                if part is None:
-                    pre[j + 1] = pre[j]
-                else:
-                    np.add(pre[j], part, out=pre[j + 1])
-            self._hop_pre[j + 1] = self._hop_pre[j] + b.weight_tree_hop_bytes
-        for i in range(first_layer, len(self.ctx.lids)):
-            rec = self.recs[i].rec
-            cm = self._cmp_pre[i]
-            self._cmp_pre[i + 1] = rec.compute if rec.compute > cm else cm
-            self._int_pre[i + 1] = self._int_pre[i] + rec.energy
-            self._fit_pre[i + 1] = self._fit_pre[i] and rec.fits
-
-    def propose(self, lms: LayerGroupMapping,
-                stored_at: dict[str, int]) -> Proposal:
-        """Delta-evaluate a candidate LMS of the session's group."""
-        self.proposed += 1
-        ceval, ctx, bu = self.ceval, self.ctx, self.bu
-        old = self.schemes
-        n_layers = len(ctx.lids)
-        schemes = [lms.scheme(name) for name in self.group.layers]
-        recs = list(self.recs)
-        self_blocks = list(self.self_blocks)
-        input_blocks = list(self.input_blocks)
-        ext_places = self.ext_places
-        new_places = ext_places
-        changed = set()
-        first_layer = n_layers
-        for i, lid in enumerate(ctx.lids):
-            if schemes[i] is not old[i]:
-                changed.add(i)
-                if i < first_layer:
-                    first_layer = i
-                recs[i] = ceval.layer_rec(lid, schemes[i], bu)
-                self_blocks[i] = ceval.self_block(lid, schemes[i], bu, recs[i])
-        first_block = 2 * first_layer + 1 if first_layer < n_layers \
-            else 2 * n_layers
-        for i in range(n_layers):
-            # An input block goes stale when its layer, one of its
-            # in-group producers, or a cross-group placement changed.
-            stale = i in changed
-            if not stale:
-                for p in ctx.producer_pos[i]:
-                    if p in changed:
-                        stale = True
-                        break
-            names = ctx.ext_names[i]
-            if names:
-                places = tuple(
-                    stored_at.get(nm, INTERLEAVED) for nm in names
-                )
-                if places != ext_places[i]:
-                    stale = True
-                    if new_places is ext_places:
-                        new_places = list(ext_places)
-                    new_places[i] = places
-            if stale:
-                if 2 * i < first_block:
-                    first_block = 2 * i
-                input_blocks[i] = ceval._build_input_block(
-                    ctx, i, bu, schemes, recs,
-                    ceval.deps_for(ctx, i, schemes, stored_at),
-                )
-        # Continue the canonical left fold from the last valid prefix;
-        # bit-identical to folding all blocks from zero.
-        nb = 2 * n_layers
-        vol = self._vol_pre[first_block].copy()
-        dr = self._dr_pre[first_block].copy()
-        dw = self._dw_pre[first_block].copy()
-        do = self._do_pre[first_block].copy()
-        hop = self._hop_pre[first_block]
-        for j in range(first_block, nb):
-            b = input_blocks[j // 2] if j % 2 == 0 else self_blocks[j // 2]
-            vol += b.volumes
-            if b.dram_read is not None:
-                dr += b.dram_read
-            if b.dram_write is not None:
-                dw += b.dram_write
-            if b.dram_weight_once is not None:
-                do += b.dram_weight_once
-            hop += b.weight_tree_hop_bytes
-        compute = self._cmp_pre[first_layer]
-        intra_j = self._int_pre[first_layer]
-        fits = self._fit_pre[first_layer]
-        for i in range(first_layer, n_layers):
-            rec = recs[i].rec
-            if rec.compute > compute:
-                compute = rec.compute
-            intra_j += rec.energy
-            fits = fits and rec.fits
-        result = ceval._finalize(
-            self.group, self.batch, vol, dr, dw, do, hop,
-            compute, intra_j, fits,
-        )
-        return Proposal(result, schemes, recs, self_blocks, input_blocks,
-                        new_places, first_block, first_layer)
-
-    def commit(self, proposal: Proposal) -> None:
-        self.committed += 1
-        self.schemes = proposal.schemes
-        self.recs = proposal.recs
-        self.self_blocks = proposal.self_blocks
-        self.input_blocks = proposal.input_blocks
-        self.ext_places = proposal.ext_places
-        self._refold(proposal.first_block, proposal.first_layer)
+        return evaluate_population(self, [lms], batch, [stored_at or {}])[0]

@@ -45,8 +45,6 @@ class PopulationWalk:
 
     def __init__(self, ctrl):
         s = ctrl.settings
-        if s.population < 1:
-            raise SearchError("population must be >= 1")
         self.ctrl = ctrl
         self.n = s.population
         self.k = max(1, min(s.tempering, self.n))

@@ -41,22 +41,24 @@ class SASettings:
     #: Operator names to draw from (None = all five).  Used by the
     #: operator-ablation study; the paper's search always uses all five.
     operators: tuple[str, ...] | None = None
-    #: Proposals scored per iteration.  ``1`` (default) is the paper's
-    #: plain Metropolis walk.  ``K > 1`` draws K operator moves against
-    #: the current state, delta-evaluates them all against the shared
-    #: compiled group state, and runs the accept test on the cheapest —
-    #: a best-of-K walk that trades evaluations per iteration for
-    #: greedier descent.  Deterministic for a fixed seed, but a
-    #: *different* search trajectory than ``K=1``; opt-in.
+    #: Proposals scored per iteration (>= 1).  ``1`` (default) is the
+    #: paper's plain Metropolis walk.  ``K > 1`` draws K operator moves
+    #: against the current state, prices them in one pass of the
+    #: batched compiled core (each against the group's current rows),
+    #: and runs the accept test on the cheapest — a best-of-K walk that
+    #: trades evaluations per iteration for greedier descent.
+    #: Deterministic for a fixed seed, but a *different* search
+    #: trajectory than ``K=1``; opt-in.
     proposal_batch: int = 1
-    #: Walkers annealed in lockstep (see :mod:`repro.core.population`).
-    #: ``1`` (default) is the single-trajectory walk above; ``N > 1``
-    #: runs N independently-seeded walkers whose proposals are priced
+    #: Walkers annealed in lockstep (>= 1; see
+    #: :mod:`repro.core.population`).  ``1`` (default) is the
+    #: single-trajectory walk above; ``N > 1`` runs N
+    #: independently-seeded walkers whose proposals are priced
     #: together through the population-batched compiled core
     #: (:mod:`repro.compiled.batch`) — a different (deterministic)
     #: search trajectory, keyed distinctly in campaign digests.
     population: int = 1
-    #: Parallel-tempering rungs over the population (``1`` = all
+    #: Parallel-tempering rungs over the population (>= 1; ``1`` = all
     #: walkers share the base schedule).  Only meaningful with
     #: ``population > 1``; clamped to the population size.
     tempering: int = 1
@@ -65,6 +67,14 @@ class SASettings:
     #: Pure observation: the trajectory is unchanged, so campaign
     #: content digests deliberately exclude this flag.
     diag: bool = False
+
+    def __post_init__(self):
+        # Values below 1 would run the serial walk under a different
+        # settings digest, so stored results would never serve them.
+        for name in ("proposal_batch", "population", "tempering"):
+            value = getattr(self, name)
+            if value < 1:
+                raise SearchError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -144,15 +154,18 @@ class SAController:
         self.current_costs = [self._cost(lms) for lms in self.current]
         self.best_costs = list(self.current_costs)
         self.stats = SAStats(initial_cost=sum(self.current_costs))
-        # Delta-evaluation sessions over the compiled tables: one per
-        # group, sharing the evaluator's block caches.  ``None`` when
-        # the evaluator runs the object path (cache off / maxmin).
+        # Delta evaluation over the compiled tables: a one-slot batched
+        # state per group, sharing the evaluator's block caches.
+        # ``None`` on the object reference path (cache off / maxmin).
         compiled_for = getattr(evaluator, "compiled_for", None)
         compiled = compiled_for(graph) if compiled_for is not None else None
-        self._sessions = None
-        if compiled is not None and self.settings.population <= 1:
-            self._sessions = [
-                compiled.session(lms, batch, self._stored_at)
+        self._states = None
+        if compiled is not None and self.settings.population == 1:
+            from repro.compiled.batch import PopulationGroupState
+
+            self._states = [
+                PopulationGroupState(compiled, [lms], batch,
+                                     [self._stored_at])
                 for lms in self.current
             ]
         #: The PopulationWalk of the last population run (telemetry).
@@ -245,24 +258,27 @@ class SAController:
 
     # ------------------------------------------------------------------
 
-    def _candidate_cost(self, gi: int, lms: LayerGroupMapping):
-        """Cost of a candidate: delta evaluation when a session exists.
+    def _price(self, gi: int, candidates: list[LayerGroupMapping]):
+        """Costs of candidate moves of group ``gi``.
 
-        Returns ``(cost, proposal)``; the proposal (``None`` on the
-        object path) must be committed into its session iff the move is
-        accepted.  Delta and full evaluation are bit-identical, so the
-        two paths produce the same annealing trajectory.
+        Returns ``(costs, proposal)``; the batched proposal (``None`` on
+        the object path) must be resolved into the group's state once
+        the accept test has run.  Delta and full evaluation are
+        bit-identical, so both paths produce the same trajectory.
         """
-        if self._sessions is None:
-            return self._cost(lms), None
+        if self._states is None:
+            return [self._cost(c) for c in candidates], None
+        state = self._states[gi]
         t0 = time.perf_counter()
-        proposal = self._sessions[gi].propose(lms, self._stored_at)
+        if len(candidates) == 1:
+            bp = state.propose([(0, candidates[0])], [self._stored_at])
+        else:
+            bp = state.score(0, candidates, self._stored_at)
         self._delta_eval_s += time.perf_counter() - t0
-        self._delta_evals += 1
-        return self._objective(proposal.result), proposal
+        self._delta_evals += len(candidates)
+        return [self._objective(ev) for ev in bp.evals], bp
 
-    def _accept(self, gi: int, iteration: int, candidate, new_cost,
-                proposal) -> bool:
+    def _accept(self, gi: int, iteration: int, candidate, new_cost) -> bool:
         """Metropolis accept test + state bookkeeping for one move."""
         old_cost = self.current_costs[gi]
         accept = new_cost <= old_cost
@@ -273,8 +289,6 @@ class SAController:
         if not accept:
             return False
         self.stats.accepted += 1
-        if proposal is not None:
-            self._sessions[gi].commit(proposal)
         self.current[gi] = candidate
         self.current_costs[gi] = new_cost
         self._update_stored_at(candidate)
@@ -292,28 +306,11 @@ class SAController:
         return new_cost - old_cost
 
     def step(self, iteration: int) -> bool:
-        """One SA iteration; returns True when a move was accepted."""
-        if self.settings.proposal_batch > 1:
-            return self._step_batched(iteration)
-        gi = self._pick_group()
-        op_name, candidate = self._apply_operator(self.current[gi])
-        if candidate is None:
-            return False
-        self.stats.proposed += 1
-        old_cost = self.current_costs[gi]
-        improved_before = self.stats.improved
-        new_cost, proposal = self._candidate_cost(gi, candidate)
-        accepted = self._accept(gi, iteration, candidate, new_cost, proposal)
-        if self._diag is not None:
-            self._diag.proposal(
-                op_name, self._rel_delta(old_cost, new_cost),
-                accepted, self.stats.improved > improved_before,
-            )
-        return accepted
+        """One SA iteration; returns True when a move was accepted.
 
-    def _step_batched(self, iteration: int) -> bool:
-        """Score ``proposal_batch`` moves against the shared group
-        state; the cheapest takes the accept test (ties -> first)."""
+        Draws ``proposal_batch`` moves against one group's current
+        state; the cheapest takes the accept test (ties -> first).
+        """
         gi = self._pick_group()
         candidates = []
         for _ in range(self.settings.proposal_batch):
@@ -325,33 +322,18 @@ class SAController:
         self.stats.proposed += len(candidates)
         old_cost = self.current_costs[gi]
         improved_before = self.stats.improved
-        if self._sessions is not None and len(candidates) > 1:
-            # One stacked fold + finalize prices all K candidates;
-            # costs are bit-identical to the serial scoring loop, so
-            # the trajectory (and campaign digests) are unchanged.
-            from repro.compiled.batch import score_session_batch
-
-            t0 = time.perf_counter()
-            proposals = score_session_batch(
-                self._sessions[gi], [c for _, c in candidates],
-                self._stored_at,
+        costs, bp = self._price(gi, [c for _, c in candidates])
+        bi = min(range(len(costs)), key=costs.__getitem__)
+        accepted = self._accept(gi, iteration, candidates[bi][1], costs[bi])
+        if bp is not None:
+            self._states[gi].resolve(
+                bp, [accepted and j == bi for j in range(len(costs))]
             )
-            self._delta_eval_s += time.perf_counter() - t0
-            self._delta_evals += len(candidates)
-            scored = [(self._objective(p.result), p) for p in proposals]
-        else:
-            scored = [self._candidate_cost(gi, c) for _, c in candidates]
-        bi = min(range(len(scored)), key=lambda j: scored[j][0])
-        new_cost, proposal = scored[bi]
-        accepted = self._accept(
-            gi, iteration, candidates[bi][1], new_cost, proposal
-        )
         if self._diag is not None:
             improved = self.stats.improved > improved_before
             for j, (name, _) in enumerate(candidates):
-                cost_j = scored[j][0]
                 self._diag.proposal(
-                    name, self._rel_delta(old_cost, cost_j),
+                    name, self._rel_delta(old_cost, costs[j]),
                     accepted and j == bi, improved and j == bi,
                 )
         return accepted
@@ -387,9 +369,9 @@ class SAController:
 
             PERF.add_time("sa.delta_eval", self._delta_eval_s,
                           self._delta_evals)
-        if self._sessions is not None:
-            proposed = sum(s.proposed for s in self._sessions)
-            committed = sum(s.committed for s in self._sessions)
+        if self._states is not None:
+            proposed = sum(s.proposed for s in self._states)
+            committed = sum(s.committed for s in self._states)
             if proposed:
                 from repro.perf import PERF
 

@@ -124,6 +124,24 @@ class TestWorkloadAndSettingsDigests:
         assert a == b
         assert a != ck.settings_digest(SASettings(), objective=OBJECTIVE_EDP)
 
+    @pytest.mark.parametrize(
+        "field", ["population", "tempering", "proposal_batch"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_search_width_below_one_rejected(self, field, value):
+        """Widths below 1 would run the serial walk under a digest that
+        differs from the defaults, so stored results would never serve
+        them; settings and CLI reject them instead."""
+        from repro.cli.main import main
+        from repro.errors import SearchError
+
+        with pytest.raises(SearchError, match=field):
+            SASettings(iterations=40, **{field: value})
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--model", "TF", "--iters", "1", flag, str(value)])
+        assert exc.value.code == 2
+
     def test_candidate_key_covers_workload_order(self):
         arch = g_arch()
         sa = SASettings(iterations=4)

@@ -3,8 +3,8 @@
 The batched core (``repro.compiled.batch``) stacks N candidate
 mappings into (N, ...) arrays and evaluates them with shared scatter
 kernels and one fold — but the contract is *float-exact bit-identity*
-with the per-mapping compiled path: at N=1 outright, and element-wise
-at any N.  These tests pin that contract over the whole model
+with the object reference path: at N=1 outright, and element-wise at
+any N.  These tests pin that contract over the whole model
 registry, through annealed states, and under slot permutation; plus
 the population/tempering SA semantics built on top and the int64
 guards in the table builders.
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.arch import g_arch, s_arch
-from repro.compiled.batch import PopulationGroupState, evaluate_population
+from repro.compiled.batch import evaluate_population
 from repro.compiled.graph import (
     MAX_STACKED_LANES,
     as_index_table,
@@ -63,28 +63,32 @@ def _anneal_population(name, arch, batch, population, iterations=40,
 
 
 class TestBatchIdentity:
-    """Batched vs per-mapping compiled path, float-exact."""
+    """Batched compiled core vs the object reference path, float-exact."""
 
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_batch1_bit_identical_full_registry(self, name):
         graph, lmss, ev, ceval = _setup(name, s_arch(), 4)
+        reference = Evaluator(s_arch(), cache=False)
         stored = {}
         for lms in lmss:
             batched = evaluate_population(ceval, [lms], 4, [stored])
-            serial = ceval.evaluate_group(lms, 4, stored)
+            serial = reference.evaluate_group(graph, lms, 4, stored)
             assert_group_evals_equal(batched[0], serial, name)
             _stored_for(lms, stored)
 
     def test_annealed_population_elementwise_identical(self):
         """Every walker of an annealed population evaluates to exactly
-        what the per-mapping path computes from its state."""
+        what the reference path computes from its state."""
         ctrl, ceval = _anneal_population("GN", g_arch(), 8, population=8)
+        reference = Evaluator(g_arch(), cache=False)
         walk = ctrl._population_walk
         for gi in range(len(ctrl.best)):
             states = [walk.lms[w][gi] for w in range(walk.n)]
             batched = evaluate_population(ceval, states, 8, walk.stored)
             for w, lms in enumerate(states):
-                serial = ceval.evaluate_group(lms, 8, walk.stored[w])
+                serial = reference.evaluate_group(
+                    ctrl.graph, lms, 8, walk.stored[w]
+                )
                 assert_group_evals_equal(batched[w], serial, f"g{gi} w{w}")
 
     def test_slot_permutation_invariance(self):

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.arch import ArchConfig, g_arch, s_arch
+from repro.compiled.batch import PopulationGroupState
 from repro.core import SAController, SASettings
 from repro.core.graphpart import partition_graph
 from repro.core.initial import initial_lms
@@ -97,7 +98,12 @@ class TestModelZooIdentity:
 
 
 class TestDeltaEvaluation:
-    """Session delta evaluation vs full re-evaluation, per operator."""
+    """One-slot batched delta evaluation vs the reference, per operator.
+
+    This is how ``SAController`` prices every serial move: a one-slot
+    :class:`PopulationGroupState` per group, ``propose`` then
+    ``resolve``; best-of-K scores K candidates against that slot's rows.
+    """
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -108,35 +114,83 @@ class TestDeltaEvaluation:
         lms = max(lmss, key=lambda m: len(m.group))
         return graph, arch, lms
 
+    @staticmethod
+    def draw(graph, arch, op, lms, rng):
+        if op is op5_change_flow:
+            return op(graph, lms, rng, n_dram=arch.n_dram)
+        return op(graph, lms, rng)
+
     @pytest.mark.parametrize("op_name,op", OPERATORS, ids=[n for n, _ in OPERATORS])
     def test_operator_delta_matches_full(self, setup, op_name, op):
         graph, arch, lms = setup
         ev = Evaluator(arch)
         reference = Evaluator(arch, cache=False)
-        ce = ev.compiled_for(graph)
-        session = ce.session(lms, 8, {})
+        state = PopulationGroupState(ev.compiled_for(graph), [lms], 8, [{}])
         rng = random.Random(42)
         current = lms
         checked = 0
         for _ in range(40):
-            if op is op5_change_flow:
-                candidate = op(graph, current, rng, n_dram=arch.n_dram)
-            else:
-                candidate = op(graph, current, rng)
+            candidate = self.draw(graph, arch, op, current, rng)
             if candidate is None:
                 continue
-            proposal = session.propose(candidate, {})
+            bp = state.propose([(0, candidate)], [{}])
             full = reference.evaluate_group(graph, candidate, 8, {})
-            assert_group_evals_equal(proposal.result, full, op_name)
+            assert_group_evals_equal(bp.evals[0], full, op_name)
             checked += 1
-            # Commit every other accepted move so deltas also run
-            # against evolved (non-initial) session states.
-            if checked % 2 == 0:
-                session.commit(proposal)
+            # Accept every other move so deltas also run against
+            # evolved (non-initial) states and rejected rows roll back.
+            accept = checked % 2 == 0
+            state.resolve(bp, [accept])
+            if accept:
                 current = candidate
+            assert_group_evals_equal(
+                state.evaluate_current()[0],
+                reference.evaluate_group(graph, current, 8, {}),
+                f"{op_name} after resolve",
+            )
             if checked >= 12:
                 break
         assert checked >= 3, f"{op_name} never produced a candidate"
+        assert state.proposed == checked
+        assert state.committed == checked // 2
+
+    def test_best_of_k_scores_match_reference(self, setup):
+        """Every one of the K scored costs equals the reference, and
+        adopting one leaves the slot's rows equal to its state."""
+        graph, arch, lms = setup
+        ev = Evaluator(arch)
+        reference = Evaluator(arch, cache=False)
+        state = PopulationGroupState(ev.compiled_for(graph), [lms], 8, [{}])
+        rng = random.Random(7)
+        current = lms
+        scored = 0
+        for step in range(6):
+            cands = []
+            for op_name, op in OPERATORS:
+                cand = self.draw(graph, arch, op, current, rng)
+                if cand is not None:
+                    cands.append(cand)
+            bp = state.score(0, cands, {})
+            assert len(bp.evals) == len(cands)
+            for cand, got in zip(cands, bp.evals):
+                assert_group_evals_equal(
+                    got, reference.evaluate_group(graph, cand, 8, {}),
+                    f"step {step}",
+                )
+            scored += len(cands)
+            # Adopt the last candidate on even steps, none on odd ones.
+            pick = len(cands) - 1 if step % 2 == 0 else None
+            state.resolve(bp, [k == pick for k in range(len(cands))])
+            if pick is not None:
+                current = cands[pick]
+            assert_group_evals_equal(
+                state.evaluate_current()[0],
+                reference.evaluate_group(graph, current, 8, {}),
+                f"step {step} after resolve",
+            )
+        assert scored >= 12
+        assert state.proposed == scored
+        assert state.committed == 3
 
     def test_stored_at_change_invalidates_placement(self):
         """A cross-group placement change re-evaluates the ext slice."""
@@ -147,7 +201,6 @@ class TestDeltaEvaluation:
         assert len(lmss) >= 2, "test needs a multi-group partition"
         ev = Evaluator(arch)
         reference = Evaluator(arch, cache=False)
-        ce = ev.compiled_for(graph)
         # The second group reads the first group's outputs.
         first, second = lmss[0], lmss[1]
         stored = {}
@@ -155,21 +208,24 @@ class TestDeltaEvaluation:
             of = first.scheme(lname).fd.ofmap
             if of >= 0:
                 stored[lname] = of
-        session = ce.session(second, 4, stored)
-        base = session.propose(second, stored)
-        assert_group_evals_equal(
-            base.result, reference.evaluate_group(graph, second, 4, stored)
+        state = PopulationGroupState(
+            ev.compiled_for(graph), [second], 4, [stored]
         )
+        base = state.propose([(0, second)], [stored])
+        assert_group_evals_equal(
+            base.evals[0], reference.evaluate_group(graph, second, 4, stored)
+        )
+        state.resolve(base, [False])
         # Move every stored producer to explicit DRAM 1 and re-propose
         # the *same* mapping: only the placements changed.
         moved = {name: 1 for name in stored}
-        shifted = session.propose(second, moved)
+        shifted = state.propose([(0, second)], [moved])
         assert_group_evals_equal(
-            shifted.result,
+            shifted.evals[0],
             reference.evaluate_group(graph, second, 4, moved),
         )
-        assert shifted.result.delay != base.result.delay or \
-            shifted.result.energy.total != base.result.energy.total
+        assert shifted.evals[0].delay != base.evals[0].delay or \
+            shifted.evals[0].energy.total != base.evals[0].energy.total
 
 
 class TestBatchedSA:

@@ -60,9 +60,9 @@ def small_candidates():
     return enumerate_candidates(grid)
 
 
-def run_sa(arch, settings, compiled=True):
+def run_sa(arch, settings, cache=True):
     """One annealing run on the tiny graph; returns the controller."""
-    evaluator = Evaluator(arch, compiled=compiled)
+    evaluator = Evaluator(arch, cache=cache)
     graph = tiny_graph()
     groups = partition_graph(graph, arch, batch=2)
     lmss = [initial_lms(graph, g, arch) for g in groups]
@@ -195,10 +195,10 @@ class TestControllerRecording:
 
     def test_object_and_compiled_paths_record_identically(self):
         settings = SASettings(iterations=15, seed=2, diag=True)
-        compiled = run_sa(small_candidates()[0], settings, compiled=True)
-        objectp = run_sa(small_candidates()[0], settings, compiled=False)
-        assert compiled._sessions is not None
-        assert objectp._sessions is None
+        compiled = run_sa(small_candidates()[0], settings, cache=True)
+        objectp = run_sa(small_candidates()[0], settings, cache=False)
+        assert compiled._states is not None
+        assert objectp._states is None
         assert compiled.stats.diag == objectp.stats.diag
 
     def test_batched_proposals_recorded_per_scored_move(self):

@@ -271,7 +271,7 @@ class TestEvaluatorCaches:
 
 class TestRoutePrecompute:
     def test_route_tables_match_route(self):
-        from repro.arch.topology import MeshTopology
+        from repro.fabric.mesh import MeshTopology
 
         arch = small_arch()
         topo = MeshTopology(arch)
