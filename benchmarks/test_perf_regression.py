@@ -196,7 +196,7 @@ def test_fabric_sweep_throughput(tf_model, benchmark):
     (compiled vs. uncached object path, same trajectory) — the fabric
     axis must never cost correctness.
     """
-    from repro.fabric import apply_fabric, build_topology
+    from repro.fabric import apply_fabric, build_topology, clear_route_tables
     from repro.perf import PERF
 
     fabrics = ("mesh", "folded-torus", "cmesh:c2", "ring")
@@ -211,6 +211,8 @@ def test_fabric_sweep_throughput(tf_model, benchmark):
             groups = partition_graph(graph, arch, batch=batch)
             lmss = [initial_lms(graph, g, arch) for g in groups]
             PERF.reset()
+            # Time a real build, not a hit in the shared table cache.
+            clear_route_tables()
             t0 = time.perf_counter()
             build_topology(arch).core_route_table()
             table_s = time.perf_counter() - t0

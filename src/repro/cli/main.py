@@ -69,7 +69,7 @@ from repro.io import (
     save_graph,
     save_mapping,
 )
-from repro.reporting import format_table, write_csv
+from repro.reporting import cache_table, format_table, write_csv
 from repro.workloads.graph import DNNGraph
 from repro.workloads.models import MODEL_REGISTRY
 
@@ -213,14 +213,7 @@ def profile_report(args, extra: dict | None = None) -> None:
     caches = PERF.cache_stats()
     if caches:
         print()
-        print(format_table(
-            ["cache", "hits", "misses", "hit rate"],
-            [
-                [name, int(s["hits"]), int(s["misses"]),
-                 f"{s['hit_rate']:.1%}"]
-                for name, s in sorted(caches.items())
-            ],
-        ))
+        print(cache_table(caches))
     payload = dict(extra or {})
     payload["perf"] = snap
     payload["caches"] = caches

@@ -11,7 +11,13 @@ spec through the registry.  Shipped fabrics: ``mesh`` (the default),
 routing policies: ``xy``, ``yx`` and ``dimension-reversal``.
 """
 
-from repro.fabric.base import BaseTopology, Link, NodeId, Topology
+from repro.fabric.base import (
+    BaseTopology,
+    Link,
+    NodeId,
+    Topology,
+    clear_route_tables,
+)
 from repro.fabric.cmesh import ConcentratedMeshTopology
 from repro.fabric.mesh import GridTopology, MeshTopology
 from repro.fabric.registry import (
@@ -49,6 +55,7 @@ __all__ = [
     "Topology",
     "apply_fabric",
     "build_topology",
+    "clear_route_tables",
     "fabric_from_dict",
     "fabric_kinds",
     "fabric_to_dict",

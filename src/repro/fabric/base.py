@@ -22,9 +22,14 @@ brute-force routing property tests assert this for every registered
 fabric.
 
 Route lookups are memoized per topology and counted
-(``fabric.route.hits/.misses``), and the one-time route-table builds
-are timed per fabric kind (``fabric.route_tables.<kind>``) — both show
-up in the ``--profile`` hit-ratio table.
+(``fabric.route.hits/.misses``).  The padded route tables hold link
+indices only, and link numbering depends on the fabric class, its spec
+and the core/DRAM counts — never on chiplet cuts or bandwidths — so
+the tables live in one process-wide :class:`~repro.perf.LruDict`
+(``fabric.route_tables``) keyed by :meth:`BaseTopology.route_geometry`:
+every DSE candidate of one geometry shares them, read-only.  Builds are
+timed per fabric kind (``fabric.route_tables.<kind>``); both the timers
+and the shared-table hits show up in ``--profile``.
 """
 
 from __future__ import annotations
@@ -34,13 +39,30 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.perf import PERF
+from repro.perf import PERF, LruDict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.params import ArchConfig
     from repro.fabric.spec import FabricSpec
 
 NodeId = tuple
+
+#: Route tables shared by every topology of one route geometry, bounded
+#: by entry count and by :data:`_ROUTE_TABLE_BYTES` (the 72-TOPS Table-I
+#: grid needs 2.6 MB; one 16x16 mesh alone needs 16 MB).
+_ROUTE_TABLES = LruDict(64, name="fabric.route_tables")
+_ROUTE_TABLE_BYTES = 64 * 2**20
+
+
+def clear_route_tables() -> None:
+    """Drop the shared route tables, so the next lookup builds afresh."""
+    _ROUTE_TABLES.clear()
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -288,15 +310,39 @@ class BaseTopology:
             table[i, : len(r)] = r
         return table, lens
 
+    def route_geometry(self) -> tuple:
+        """Everything the route tables depend on.
+
+        A fabric whose link numbering or routing reads other
+        architecture fields must extend this key.
+        """
+        arch = self.arch
+        return (type(self), self.spec.with_name(""), arch.cores_x,
+                arch.cores_y, arch.n_dram)
+
+    def _shared_tables(self, which: str, build) -> tuple[np.ndarray, ...]:
+        key = (which, *self.route_geometry())
+        tables = _ROUTE_TABLES.get_lru(key)
+        if tables is None:
+            with PERF.time(f"fabric.route_tables.{self.kind}"):
+                tables = _read_only(*build())
+            _ROUTE_TABLES.put(key, tables)
+            while len(_ROUTE_TABLES) > 1 and sum(
+                a.nbytes for t in _ROUTE_TABLES.values() for a in t
+            ) > _ROUTE_TABLE_BYTES:
+                _ROUTE_TABLES.popitem(last=False)
+        return tables
+
     def core_route_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Core-to-core route table; row ``src * n_cores + dst``."""
         if self._core_route_table is None:
-            with PERF.time(f"fabric.route_tables.{self.kind}"):
-                n = self.arch.n_cores
-                self._core_route_table = self._build_route_table([
+            n = self.arch.n_cores
+            self._core_route_table = self._shared_tables(
+                "core", lambda: self._build_route_table([
                     (self.core_node(s), self.core_node(d))
                     for s in range(n) for d in range(n)
-                ])
+                ]),
+            )
         return self._core_route_table
 
     def dram_route_tables(
@@ -309,9 +355,10 @@ class BaseTopology:
         core -> DRAM (``from_dram`` the reverse).
         """
         if self._dram_route_tables is None:
-            with PERF.time(f"fabric.route_tables.{self.kind}"):
-                n = self.arch.n_cores
-                n_dram = len(self._dram_nodes)
+            n = self.arch.n_cores
+            n_dram = len(self._dram_nodes)
+
+            def build():
                 to_dram = self._build_route_table([
                     (self.core_node(c), self._dram_nodes[d])
                     for c in range(n) for d in range(n_dram)
@@ -320,7 +367,9 @@ class BaseTopology:
                     (self._dram_nodes[d], self.core_node(c))
                     for c in range(n) for d in range(n_dram)
                 ])
-                self._dram_route_tables = (*to_dram, *from_dram)
+                return (*to_dram, *from_dram)
+
+            self._dram_route_tables = self._shared_tables("dram", build)
         return self._dram_route_tables
 
     def hop_count(self, src: NodeId, dst: NodeId) -> int:

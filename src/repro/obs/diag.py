@@ -386,6 +386,7 @@ def campaign_report_data(home, name) -> dict:
     from repro.campaign.store import KIND_CANDIDATE, ResultStore
     from repro.io.serialization import candidate_result_from_dict
     from repro.obs.ledger import LEDGER_NAME, read_ledger
+    from repro.obs.watch import ledger_cache_stats
 
     manifest = _load_manifest(home, name)
     store = ResultStore(Path(home) / STORE_DIR)
@@ -466,6 +467,7 @@ def campaign_report_data(home, name) -> dict:
             "cold_mean": _mean(cold_itb), "cold_runs": len(cold_itb),
         },
         "diag_by_pid": diag_by_pid,
+        "caches": ledger_cache_stats((perf_event or {}).get("counters", {})),
         "failures": failures,
         "quarantined": sorted(quarantined.values(),
                               key=lambda q: q["index"]),
@@ -475,7 +477,7 @@ def campaign_report_data(home, name) -> dict:
 
 def render_campaign_report(data: dict) -> str:
     """One text frame of :func:`campaign_report_data`."""
-    from repro.reporting import format_table
+    from repro.reporting import cache_table, format_table
 
     lines = [
         f"campaign {data['name']!r} search report — "
@@ -534,6 +536,11 @@ def render_campaign_report(data: dict) -> str:
         lines.append("")
         lines.append("pooled over shards:")
         lines.append(format_table(OPERATOR_HEADERS, operator_rows(merged)))
+
+    if data.get("caches"):
+        lines.append("")
+        lines.append("caches (last run's perf event):")
+        lines.append(cache_table(data["caches"]))
 
     if data["failures"]:
         lines.append("")

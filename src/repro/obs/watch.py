@@ -47,7 +47,7 @@ def ledger_path(home: str | Path, name: str) -> Path:
     return Path(home) / name / LEDGER_NAME
 
 
-def _cache_stats(counters: dict) -> dict[str, dict]:
+def ledger_cache_stats(counters: dict) -> dict[str, dict]:
     """Hit/miss/ratio per ``<prefix>.hits/.misses`` pair in a counter
     dict (a ledger perf event, not the live registry — watch must not
     fold in whatever caches happen to live in *this* process)."""
@@ -164,7 +164,7 @@ def watch_snapshot(home: str | Path, name: str,
         "sa_iters_per_sec": iters_rate,
         "busy_s": busy_s,
         "eta_s": eta_s,
-        "caches": _cache_stats(counters),
+        "caches": ledger_cache_stats(counters),
         "ledger_events": len(events),
         "ledger_skipped": skipped,
         "now": now,
@@ -173,7 +173,7 @@ def watch_snapshot(home: str | Path, name: str,
 
 def render_watch(snap: dict) -> str:
     """One text frame of a watch snapshot."""
-    from repro.reporting import format_table
+    from repro.reporting import cache_table, format_table
 
     status = snap["status"]
     total = status["total"] or 1
@@ -222,14 +222,8 @@ def render_watch(snap: dict) -> str:
             rows,
         ))
     if snap["caches"]:
-        rows = [
-            [name, int(c["hits"]), int(c["misses"]), f"{c['hit_rate']:.1%}"]
-            for name, c in sorted(snap["caches"].items())
-        ]
         lines.append("")
-        lines.append(format_table(
-            ["cache", "hits", "misses", "hit rate"], rows,
-        ))
+        lines.append(cache_table(snap["caches"]))
     best = status.get("best", {})
     if best:
         rows = [[axis, rec["arch"], rec["value"]]

@@ -8,6 +8,7 @@ from repro.reporting.heatmap import (
 )
 from repro.reporting.tables import (
     ComparisonRow,
+    cache_table,
     format_table,
     to_csv,
     write_csv,
@@ -16,6 +17,7 @@ from repro.reporting.tables import (
 __all__ = [
     "ComparisonRow",
     "LinkHeat",
+    "cache_table",
     "format_table",
     "heat_summary",
     "link_heat",

@@ -27,6 +27,15 @@ def format_table(headers: list[str], rows: list[list], floatfmt: str = ".3g") ->
     return "\n".join(out)
 
 
+def cache_table(caches: dict[str, dict]) -> str:
+    """Hit-ratio table of ``{name: {"hits", "misses", "hit_rate"}}``."""
+    rows = [
+        [name, int(c["hits"]), int(c["misses"]), f"{c['hit_rate']:.1%}"]
+        for name, c in sorted(caches.items())
+    ]
+    return format_table(["cache", "hits", "misses", "hit rate"], rows)
+
+
 def to_csv(headers: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)

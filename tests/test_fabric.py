@@ -4,9 +4,11 @@ bit-identity, cross-fabric evaluation identity, and serialization."""
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.arch import ArchConfig, build_topology, g_arch
+from repro.dse.candidates import DseGrid, enumerate_candidates
 from repro.errors import InvalidArchitectureError
 from repro.evalmodel import Evaluator
 from repro.fabric import (
@@ -19,11 +21,13 @@ from repro.fabric import (
     RingTopology,
     Topology,
     apply_fabric,
+    clear_route_tables,
     format_fabric,
     parse_fabric,
     register_fabric,
 )
 from repro.io.serialization import arch_from_dict, arch_to_dict
+from repro.perf import PERF
 from repro.units import GB, MB
 from repro.workloads.models import build
 
@@ -343,6 +347,8 @@ class TestPerfSurface:
     def test_route_table_build_timed_per_fabric(self):
         from repro.perf import PERF
 
+        # A ring of this geometry may already sit in the shared cache.
+        clear_route_tables()
         PERF.reset()
         a = apply_fabric(g_arch(), "ring")
         topo = build_topology(a)
@@ -363,3 +369,113 @@ class TestPerfSurface:
         stats = PERF.cache_stats()
         assert stats["fabric.route"]["hits"] >= 1
         assert stats["fabric.route"]["misses"] >= 1
+
+
+#: Every registered kind plus a routing and a wrap variant.
+ROUTE_TABLE_FABRICS = (
+    "mesh", "mesh:yx", "folded-torus", "folded-torus:wrap=x", "cmesh:c2",
+    "ring",
+)
+
+
+def table1_cut_archs() -> list[ArchConfig]:
+    """One 72-TOPS Table-I candidate per (core array, cut pair).
+
+    DRAM counts rotate over the pairs, so each core array is met with
+    several of them.
+    """
+    groups: dict[tuple, dict[int, ArchConfig]] = {}
+    for a in enumerate_candidates(DseGrid.paper_grid(72)):
+        key = (a.cores_x, a.cores_y, a.xcut, a.ycut)
+        groups.setdefault(key, {}).setdefault(a.n_dram, a)
+    out = []
+    for i, key in enumerate(sorted(groups)):
+        by_dram = groups[key]
+        out.append(by_dram[sorted(by_dram)[i % len(by_dram)]])
+    return out
+
+
+def fresh_route_tables(topo) -> tuple:
+    """The topology's own tables, built bypassing the shared cache."""
+    cores, drams = topo.core_nodes(), topo.dram_nodes()
+    return (
+        *topo._build_route_table([(s, d) for s in cores for d in cores]),
+        *topo._build_route_table([(c, d) for c in cores for d in drams]),
+        *topo._build_route_table([(d, c) for c in cores for d in drams]),
+    )
+
+
+def shared_route_tables(topo) -> tuple:
+    return (*topo.core_route_table(), *topo.dram_route_tables())
+
+
+class TestSharedRouteTables:
+    def test_shared_tables_equal_fresh_for_every_cut(self):
+        """No clearing between fabrics: a key that dropped the spec
+        would hand one fabric's tables to another."""
+        clear_route_tables()
+        PERF.reset()
+        geometries = set()
+        for fabric in ROUTE_TABLE_FABRICS:
+            for base in table1_cut_archs():
+                try:
+                    a = apply_fabric(base, fabric)
+                except InvalidArchitectureError:
+                    continue  # cmesh:c2 needs an even core array
+                topo = build_topology(a)
+                for got, want in zip(shared_route_tables(topo),
+                                     fresh_route_tables(topo)):
+                    np.testing.assert_array_equal(got, want)
+                geometries.add((fabric, a.cores_x, a.cores_y, a.n_dram))
+        stats = PERF.cache_stats()["lru.fabric.route_tables"]
+        # One core and one DRAM build per fabric geometry; every other
+        # cut pair was served from the shared tables.
+        assert stats["misses"] == 2 * len(geometries)
+        assert stats["hits"] > 0
+
+    def test_class_differing_from_spec_gets_own_entry(self):
+        a = arch()
+        mesh = MeshTopology(a)
+        for topo in (FoldedTorusTopology(a), RingTopology(a)):
+            assert topo.route_geometry() != mesh.route_geometry()
+            tables = shared_route_tables(topo)
+            for got, want in zip(tables, fresh_route_tables(topo)):
+                np.testing.assert_array_equal(got, want)
+            assert tables[0] is not mesh.core_route_table()[0]
+            assert not np.array_equal(tables[1], mesh.core_route_table()[1])
+
+    def test_cosmetic_name_shares_tables(self):
+        a = arch()
+        named = apply_fabric(a, replace(a.fabric, name="renamed"))
+        assert build_topology(named).core_route_table()[0] is \
+            build_topology(a).core_route_table()[0]
+
+    def test_second_same_geometry_candidate_hits(self):
+        clear_route_tables()
+        PERF.reset()
+        first = build_topology(arch(xcut=2, ycut=1))
+        second = build_topology(arch(xcut=1, ycut=2, d2d_bw=8 * GB))
+        assert second.core_route_table()[0] is first.core_route_table()[0]
+        stats = PERF.cache_stats()["lru.fabric.route_tables"]
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert PERF.snapshot()["counters"]["lru.fabric.route_tables.hits"] == 1
+
+    def test_shared_tables_are_read_only(self):
+        topo = build_topology(g_arch())
+        for table in shared_route_tables(topo):
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 7
+
+    def test_shared_tables_bounded_by_bytes(self, monkeypatch):
+        import repro.fabric.base as base
+
+        clear_route_tables()
+        first = build_topology(arch(x=6, y=6))
+        tables = first.core_route_table()
+        monkeypatch.setattr(base, "_ROUTE_TABLE_BYTES",
+                            sum(t.nbytes for t in tables) + 1)
+        build_topology(arch(x=4, y=4)).core_route_table()
+        assert len(base._ROUTE_TABLES) == 1  # the older 6x6 set went
+        again = build_topology(arch(x=6, y=6)).core_route_table()
+        assert again[0] is not tables[0]
+        np.testing.assert_array_equal(again[0], tables[0])

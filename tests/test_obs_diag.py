@@ -345,6 +345,18 @@ class TestCampaignReport:
         assert "convergence" in text
         assert "pooled over shards" in text
 
+    def test_report_shows_fixed_cost_caches(self, diag_campaign):
+        """Both candidates share a core array: the second one's route
+        tables come from the shared cache, and the report says so."""
+        data = campaign_report_data(diag_campaign, "diagcamp")
+        caches = data["caches"]
+        assert caches["lru.fabric.route_tables"]["hits"] >= 1
+        memo = caches["graphpart.memo"]
+        assert memo["hits"] + memo["misses"] == 2
+        text = render_campaign_report(data)
+        assert "lru.fabric.route_tables" in text
+        assert "graphpart.memo" in text
+
     def test_ledger_perf_event_carries_diag(self, diag_campaign):
         from repro.obs.ledger import read_ledger
         from repro.obs.watch import ledger_path
